@@ -97,7 +97,7 @@ from .core.bench import (
 from .core.parallel import ResultCache, parallel_map
 from .core.table1 import table1_with_manifest
 from .mem.systems import PAPER_SYSTEMS, SYSTEM_REGISTRY
-from .obs import MetricsCollector, configure, get_logger, to_perfetto, write_trace
+from .obs import MetricsCollector, configure, get_logger, write_trace
 from .obs import telemetry
 from .obs.attrib import (
     diff_reports,
@@ -108,7 +108,8 @@ from .obs.attrib import (
 )
 from .obs.manifest import build_manifest, write_manifest
 from .obs.profile import HostProfiler
-from .obs.timeline import attribution_to_perfetto
+# perfbench/probes.py times the exporters under their names in this module.
+from .obs.timeline import attribution_to_perfetto, render_perfetto, to_perfetto  # noqa: F401
 from .runtime.context import Machine
 from .scenarios import (
     SCENARIO_BENCH_FILE,
@@ -291,15 +292,15 @@ def cmd_trace(args: argparse.Namespace) -> int:
         for block_name, stall in hot:
             log.out(f"  {block_name:<36s} {stall:>12.1f}")
     metrics = collector.to_dict() if collector is not None else None
-    doc = to_perfetto(
+    text, n_events = render_perfetto(
         tracer, cfg.nprocs, total_time=result.total_time, app=name,
         system=args.system, sync_names=machine.sync.sync_names(),
         metrics=metrics,
     )
-    write_trace(args.out, doc)
-    log.out(f"trace written to {args.out} ({len(doc['traceEvents'])} events)")
+    write_trace(args.out, text)
+    log.out(f"trace written to {args.out} ({n_events} events)")
     if metrics is not None:
-        Path(args.metrics).write_text(json.dumps(metrics, indent=2) + "\n")
+        Path(args.metrics).write_text(json.dumps(metrics) + "\n")
         log.out(f"metrics written to {args.metrics} ({len(metrics['buckets'])} buckets)")
     if args.manifest:
         manifest = build_manifest(
@@ -311,7 +312,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             extra={
                 "events_simulated": result.ops,
                 "events_per_sec": round(result.ops / wall, 1) if wall > 0 else None,
-                "trace_events": len(doc["traceEvents"]),
+                "trace_events": n_events,
                 "trace_dropped": tracer.dropped,
             },
         )
@@ -344,7 +345,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if args.out:
         doc = prof.to_dict()
         doc.update({"app": name, "system": args.system, "nprocs": cfg.nprocs})
-        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+        Path(args.out).write_text(json.dumps(doc) + "\n")
         log.out(f"attribution written to {args.out}")
     if args.flame:
         write_trace(args.flame, prof.to_perfetto())
@@ -383,7 +384,7 @@ def cmd_attribute(args: argparse.Namespace) -> int:
     if not report["exact"]:
         log.warn(f"attribution residual nonzero: {json.dumps(report['residual'])}")
     if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+        Path(args.out).write_text(json.dumps(report) + "\n")
         log.out(f"attribution report written to {args.out}")
     if args.perfetto:
         write_trace(args.perfetto, attribution_to_perfetto(report, top=args.top))
@@ -854,7 +855,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-events",
         type=int,
         default=None,
-        help=f"trace ring size (default {TracingMemory.DEFAULT_MAX_EVENTS})",
+        help="events to record; later ones are counted as dropped "
+        f"(default {TracingMemory.DEFAULT_MAX_EVENTS})",
     )
     p_trace.add_argument(
         "--top",
@@ -1002,7 +1004,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-events",
         type=int,
         default=500_000,
-        help="trace ring size per run (default 500000)",
+        help="events to record per run; later ones are counted as dropped (default 500000)",
     )
     p_check.add_argument(
         "--bench-out",

@@ -41,7 +41,7 @@ from .manifest import build_manifest, read_manifest, write_manifest
 from .metrics import Counter, Gauge, Histogram, MetricsCollector
 from .profile import HostProfiler
 from .telemetry import TelemetrySession
-from .timeline import attribution_to_perfetto, to_perfetto, write_trace
+from .timeline import attribution_to_perfetto, render_perfetto, to_perfetto, write_trace
 
 __all__ = [
     "AttributionCollector",
@@ -62,6 +62,7 @@ __all__ = [
     "get_logger",
     "load_report",
     "read_manifest",
+    "render_perfetto",
     "run_attribution",
     "to_perfetto",
     "write_manifest",

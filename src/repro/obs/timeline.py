@@ -19,6 +19,8 @@ what the timeline is for.
 from __future__ import annotations
 
 import json
+import re
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any
 
@@ -28,6 +30,15 @@ from ..analysis.naming import sync_label
 PHASE_LANE = 1000
 
 _SyncNames = dict[tuple[str, int], str]
+
+_issue = attrgetter("issue")
+_ts = itemgetter(0)
+
+#: A non-finite float written by ``repr`` in a value position.  A quote
+#: inside a JSON string is always escaped, so an unescaped ``": `` can
+#: only end a key.
+_NON_FINITE = re.compile(r'(?<=[^\\]": )(-?inf|nan)\b')
+_JSON_CONSTANTS = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
 def _sync_name(names: _SyncNames | None, kind: str, sync_id: int | None) -> str:
@@ -48,7 +59,7 @@ def _slice_name(e, names: _SyncNames | None = None) -> str:
     return e.kind
 
 
-def to_perfetto(
+def render_perfetto(
     events,
     nprocs: int,
     total_time: float | None = None,
@@ -56,8 +67,8 @@ def to_perfetto(
     system: str = "",
     sync_names: _SyncNames | None = None,
     metrics: dict[str, Any] | None = None,
-) -> dict[str, Any]:
-    """Build a trace-event JSON document from trace events.
+) -> tuple[str, int]:
+    """Render trace events as trace-event JSON text; returns ``(text, event count)``.
 
     ``events`` is a :class:`~repro.sim.trace.TracingMemory` or any
     iterable of :class:`~repro.sim.trace.TraceEvent`.  ``sync_names``
@@ -67,102 +78,80 @@ def to_perfetto(
     :meth:`MetricsCollector.to_dict` document) adds per-bucket counter
     tracks — events/sec, event-wheel depth, store-buffer depth — above
     the processor lanes.
+
+    One pass over the events writes each access slice as text and
+    collects the phase markers, barrier arrivals and lock operations
+    that the phase lanes and flows are drawn from; each distinct slice
+    name is JSON-encoded once.  The body is stable-sorted on ``ts``.
+    Numbers are written as ``json.dumps`` writes them, non-finite
+    floats included, so the text parses to the same document.
     """
     source = events
     events = list(getattr(events, "events", events))
     if total_time is None:
         total_time = max((e.complete for e in events), default=0.0)
+    dumps = json.dumps
 
-    meta: list[dict[str, Any]] = []
-    title = " ".join(x for x in (app, "on", system) if x) if (app or system) else "simulation"
-    meta.append(
-        {"ph": "M", "pid": 0, "tid": 0, "ts": 0, "name": "process_name",
-         "args": {"name": f"repro {title}"}}
-    )
-    has_phases = any(e.kind == "phase" for e in events)
-    for p in range(nprocs):
-        meta.append(
-            {"ph": "M", "pid": 0, "tid": p, "ts": 0, "name": "thread_name",
-             "args": {"name": f"proc {p}"}}
-        )
-        meta.append(
-            {"ph": "M", "pid": 0, "tid": p, "ts": 0, "name": "thread_sort_index",
-             "args": {"sort_index": 2 * p}}
-        )
-        if has_phases:
-            meta.append(
-                {"ph": "M", "pid": 0, "tid": PHASE_LANE + p, "ts": 0, "name": "thread_name",
-                 "args": {"name": f"phases p{p}"}}
-            )
-            meta.append(
-                {"ph": "M", "pid": 0, "tid": PHASE_LANE + p, "ts": 0,
-                 "name": "thread_sort_index", "args": {"sort_index": 2 * p + 1}}
-            )
-
-    body: list[dict[str, Any]] = []
+    body: list[tuple[float, str]] = []
+    emit = body.append
+    names: dict[tuple, str] = {}
     phase_marks: dict[int, list] = {}
+    barriers: dict[tuple[int, int], list] = {}
+    locks: dict[int, list] = {}
     for e in events:
-        if e.kind == "phase":
+        kind, sync_kind = e.kind, e.sync_kind
+        if kind == "phase":
             phase_marks.setdefault(e.proc, []).append(e)
             continue
-        entry: dict[str, Any] = {
-            "ph": "X", "pid": 0, "tid": e.proc, "cat": "sim",
-            "name": _slice_name(e, sync_names),
-            "ts": e.issue, "dur": e.complete - e.issue,
-        }
-        args: dict[str, Any] = {}
+        if sync_kind == "barrier" and kind == "release":
+            barriers.setdefault((e.sync_id, e.episode or 0), []).append(e)
+        elif sync_kind == "lock" and kind in ("acquire", "release"):
+            locks.setdefault(e.sync_id, []).append(e)
+        key = (kind, e.hit, sync_kind, e.sync_id)
+        name = names.get(key)
+        if name is None:
+            name = names[key] = dumps(_slice_name(e, sync_names))
+        args = ""
         if e.addr is not None:
-            args["addr"] = e.addr
-        for field in ("read_stall", "write_stall", "buffer_flush"):
-            v = getattr(e, field)
-            if v:
-                args[field] = v
+            args = f', "addr": {e.addr!r}'
+        if e.read_stall:
+            args += f', "read_stall": {e.read_stall!r}'
+        if e.write_stall:
+            args += f', "write_stall": {e.write_stall!r}'
+        if e.buffer_flush:
+            args += f', "buffer_flush": {e.buffer_flush!r}'
         if e.episode is not None:
-            args["episode"] = e.episode
+            args += f', "episode": {e.episode!r}'
         if args:
-            entry["args"] = args
-        body.append(entry)
+            args = f', "args": {{{args[2:]}}}'
+        issue = e.issue
+        emit((issue, f'{{"ph": "X", "pid": 0, "tid": {e.proc!r}, "cat": "sim", "name": {name}, '
+                     f'"ts": {issue!r}, "dur": {e.complete - issue!r}{args}}}'))
 
     # -- application phase lanes ---------------------------------------
     for proc, marks in phase_marks.items():
-        marks.sort(key=lambda e: e.issue)
+        marks.sort(key=_issue)
         for i, mark in enumerate(marks):
             end = marks[i + 1].issue if i + 1 < len(marks) else total_time
-            body.append(
-                {"ph": "X", "pid": 0, "tid": PHASE_LANE + proc, "cat": "phase",
-                 "name": mark.label or "phase",
-                 "ts": mark.issue, "dur": max(0.0, end - mark.issue)}
-            )
+            emit((mark.issue,
+                  f'{{"ph": "X", "pid": 0, "tid": {PHASE_LANE + proc!r}, "cat": "phase", '
+                  f'"name": {dumps(mark.label or "phase")}, "ts": {mark.issue!r}, '
+                  f'"dur": {max(0.0, end - mark.issue)!r}}}'))
 
     # -- barrier flow events -------------------------------------------
-    barriers: dict[tuple[int, int], list] = {}
-    for e in events:
-        if e.kind == "release" and e.sync_kind == "barrier":
-            barriers.setdefault((e.sync_id, e.episode or 0), []).append(e)
     for (bar_id, episode), arrivals in barriers.items():
         if len(arrivals) < 2:
             continue
-        arrivals.sort(key=lambda e: e.issue)
-        flow_id = f"barrier{bar_id}.e{episode}"
-        bar_name = sync_label("barrier", _sync_name(sync_names, "barrier", bar_id), bar_id)
+        arrivals.sort(key=_issue)
+        bar_name = dumps(sync_label("barrier", _sync_name(sync_names, "barrier", bar_id), bar_id))
         for i, e in enumerate(arrivals):
             ph = "s" if i == 0 else ("f" if i == len(arrivals) - 1 else "t")
-            entry = {
-                "ph": ph, "pid": 0, "tid": e.proc, "cat": "flow",
-                "name": bar_name, "id": flow_id, "ts": e.issue,
-            }
-            if ph == "f":
-                entry["bp"] = "e"
-            body.append(entry)
+            emit(_flow(ph, e, bar_name, f"barrier{bar_id}.e{episode}"))
 
     # -- lock hand-off flow events -------------------------------------
-    locks: dict[int, list] = {}
-    for e in events:
-        if e.sync_kind == "lock" and e.kind in ("acquire", "release"):
-            locks.setdefault(e.sync_id, []).append(e)
     for lock_id, ops in locks.items():
-        ops.sort(key=lambda e: e.issue)
-        lock_name = sync_label("lock", _sync_name(sync_names, "lock", lock_id), lock_id)
+        ops.sort(key=_issue)
+        lock_name = dumps(sync_label("lock", _sync_name(sync_names, "lock", lock_id), lock_id))
         handoff = 0
         pending = None  # last unmatched release
         for e in ops:
@@ -171,18 +160,25 @@ def to_perfetto(
             elif pending is not None and e.proc != pending.proc:
                 flow_id = f"lock{lock_id}.h{handoff}"
                 handoff += 1
-                body.append(
-                    {"ph": "s", "pid": 0, "tid": pending.proc, "cat": "flow",
-                     "name": lock_name, "id": flow_id, "ts": pending.issue}
-                )
-                body.append(
-                    {"ph": "f", "bp": "e", "pid": 0, "tid": e.proc, "cat": "flow",
-                     "name": lock_name, "id": flow_id, "ts": e.issue}
-                )
+                emit(_flow("s", pending, lock_name, flow_id))
+                emit(_flow("f", e, lock_name, flow_id))
                 pending = None
 
     body.extend(_counter_events(metrics))
-    body.sort(key=lambda entry: entry["ts"])
+    body.sort(key=_ts)
+
+    title = " ".join(x for x in (app, "on", system) if x) if (app or system) else "simulation"
+    meta: list[dict[str, Any]] = [{"ph": "M", "pid": 0, "tid": 0, "ts": 0,
+                                   "name": "process_name", "args": {"name": f"repro {title}"}}]
+    for p in range(nprocs):
+        lanes = [(p, f"proc {p}")]
+        if phase_marks:
+            lanes.append((PHASE_LANE + p, f"phases p{p}"))
+        for sort_index, (tid, lane) in enumerate(lanes, start=2 * p):
+            meta.append({"ph": "M", "pid": 0, "tid": tid, "ts": 0, "name": "thread_name",
+                         "args": {"name": lane}})
+            meta.append({"ph": "M", "pid": 0, "tid": tid, "ts": 0, "name": "thread_sort_index",
+                         "args": {"sort_index": sort_index}})
     other: dict[str, Any] = {"app": app, "system": system, "total_time_cycles": total_time}
     # When the caller passed a TracingMemory (not a bare event list),
     # embed its hot-block rankings so the --out sidecar carries them.
@@ -195,11 +191,38 @@ def to_perfetto(
         dropped = getattr(source, "dropped", 0)
         if dropped:
             other["dropped_events"] = dropped
-    return {
-        "traceEvents": meta + body,
-        "displayTimeUnit": "ms",
-        "otherData": other,
-    }
+    texts = [*map(dumps, meta), *(text for _, text in body)]
+    text = (f'{{"traceEvents": [{", ".join(texts)}], "displayTimeUnit": "ms", '
+            f'"otherData": {dumps(other)}}}')
+    return _json_constants(text), len(texts)
+
+
+def to_perfetto(
+    events,
+    nprocs: int,
+    total_time: float | None = None,
+    app: str = "",
+    system: str = "",
+    sync_names: _SyncNames | None = None,
+    metrics: dict[str, Any] | None = None,
+) -> dict[str, Any]:
+    """The trace-event document of :func:`render_perfetto`, parsed."""
+    text, _ = render_perfetto(events, nprocs, total_time, app, system, sync_names, metrics)
+    return json.loads(text)
+
+
+def _flow(ph: str, e, name: str, flow_id: str) -> tuple[float, str]:
+    """One flow event (``s``/``t``/``f``) at ``e``; ``name`` is JSON-encoded."""
+    bp = ', "bp": "e"' if ph == "f" else ""
+    return e.issue, (f'{{"ph": "{ph}", "pid": 0, "tid": {e.proc!r}, "cat": "flow", '
+                     f'"name": {name}, "id": "{flow_id}", "ts": {e.issue!r}{bp}}}')
+
+
+def _json_constants(text: str) -> str:
+    """``text`` with ``repr``'s non-finite floats spelt as ``json.dumps`` spells them."""
+    if '": inf' in text or '": -inf' in text or '": nan' in text:
+        text = _NON_FINITE.sub(lambda m: _JSON_CONSTANTS[m[1]], text)
+    return text
 
 
 def attribution_to_perfetto(report: dict[str, Any], top: int = 8) -> dict[str, Any]:
@@ -259,46 +282,44 @@ def attribution_to_perfetto(report: dict[str, Any], top: int = 8) -> dict[str, A
     }
 
 
-def _counter_events(metrics: dict[str, Any] | None) -> list[dict[str, Any]]:
+def _counter_events(metrics: dict[str, Any] | None) -> list[tuple[float, str]]:
     """Perfetto ``C`` counter tracks from an interval-metrics document.
 
     One sample per bucket, stamped at the bucket's start: simulated
     events per second (1 cycle = 1 us, so ``accesses / interval * 1e6``),
     the event-wheel (ready queue) depth and the machine-wide store- and
-    merge-buffer depths sampled at the bucket crossing.
+    merge-buffer depths sampled at the bucket crossing.  Returns
+    ``(ts, text)`` pairs.
     """
     if not metrics:
         return []
     interval = metrics.get("interval") or 0.0
-    out: list[dict[str, Any]] = []
+    out: list[tuple[float, str]] = []
+
+    def counter(name: str, ts: float, value) -> None:
+        out.append((ts, f'{{"ph": "C", "pid": 0, "tid": 0, "cat": "metrics", '
+                        f'"name": {json.dumps(name)}, "ts": {ts!r}, '
+                        f'"args": {{"value": {value!r}}}}}'))
+
     for bucket in metrics.get("buckets", ()):
         ts = bucket["t0"]
         accesses = bucket.get("accesses")
         if accesses is not None and interval > 0:
-            rate = round(accesses / interval * 1e6, 1)
-            out.append(
-                {"ph": "C", "pid": 0, "tid": 0, "cat": "metrics",
-                 "name": "events/sec", "ts": ts, "args": {"value": rate}}
-            )
+            counter("events/sec", ts, round(accesses / interval * 1e6, 1))
         wheel = bucket.get("wheel_depth")
         if wheel is not None:
-            out.append(
-                {"ph": "C", "pid": 0, "tid": 0, "cat": "metrics",
-                 "name": "wheel depth", "ts": ts, "args": {"value": wheel}}
-            )
+            counter("wheel depth", ts, wheel)
         depths = bucket.get("buffer_depth")
         if depths:
             for kind, per_proc in depths.items():
-                out.append(
-                    {"ph": "C", "pid": 0, "tid": 0, "cat": "metrics",
-                     "name": f"{kind.replace('_', ' ')} depth", "ts": ts,
-                     "args": {"value": sum(per_proc)}}
-                )
+                counter(f"{kind.replace('_', ' ')} depth", ts, sum(per_proc))
     return out
 
 
-def write_trace(path: str | Path, document: dict[str, Any]) -> Path:
-    """Write a trace-event document as JSON; returns the path written."""
+def write_trace(path: str | Path, document: str | dict[str, Any]) -> Path:
+    """Write a trace-event document, rendered text or a dict, as JSON;
+    returns the path written."""
     path = Path(path)
-    path.write_text(json.dumps(document) + "\n")
+    text = document if isinstance(document, str) else json.dumps(document)
+    path.write_text(text + "\n")
     return path

@@ -54,7 +54,8 @@ class TraceEvent:  # lint: hot
 class TracingMemory:
     """Decorates a memory system, recording every call.
 
-    ``max_events`` bounds memory use; older events are dropped (the
+    ``max_events`` bounds memory use: the first ``max_events`` events are
+    kept and later ones are only counted in :attr:`dropped` (the block
     counters keep full totals).
     """
 

@@ -83,6 +83,14 @@ class TestTracing:
         assert tracer.dropped > 0
         assert tracer.summary()["events"] == 5 + tracer.dropped
 
+    def test_bound_keeps_the_first_events(self):
+        """Events past ``max_events`` are counted, not recorded: 0..N-1 stay."""
+        _, full, _ = run_traced()
+        _, bounded, _ = run_traced(max_events=10)
+        assert full.dropped == 0
+        assert bounded.events == full.events[:10]
+        assert bounded.dropped == len(full.events) - 10 > 0
+
     def test_delegates_inner_attributes(self):
         machine, tracer, _ = run_traced()
         assert tracer.inner is machine.memsys
@@ -113,8 +121,9 @@ class TestTracing:
         machine, tracer, result = run_traced()
         doc = to_perfetto(tracer, 2, total_time=result.total_time)
         other = doc["otherData"]
-        assert other["hottest_blocks"] == tracer.hottest_blocks()
-        assert other["hottest_accessed"] == tracer.hottest_accessed()
+        # The document is parsed JSON: each (name, cycles) pair is a list.
+        assert other["hottest_blocks"] == [list(b) for b in tracer.hottest_blocks()]
+        assert other["hottest_accessed"] == [list(b) for b in tracer.hottest_accessed()]
         # a bare event list gets no rankings (nothing to rank from)
         bare = to_perfetto(list(tracer.events), 2, total_time=result.total_time)
         assert "hottest_blocks" not in bare["otherData"]
