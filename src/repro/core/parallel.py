@@ -114,7 +114,8 @@ class JobResult:
     #: z-machine-only counters (``shared_writes``, ``network_cycles``),
     #: ``None`` for the real memory systems.
     zstats: dict[str, float] | None = None
-    #: Wall-clock seconds the simulation took (when freshly executed).
+    #: Wall-clock seconds of the whole job (when freshly executed):
+    #: constructing the app, running it and, if asked, ``verify()``.
     elapsed: float = 0.0
     #: Whether this result was served from the on-disk cache.
     cached: bool = False

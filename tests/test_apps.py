@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from repro.config import MachineConfig
-from repro.apps import BarnesHut, Cholesky, IntegerSort, Maxflow
+from repro.apps import BarnesHut, Cholesky, IntegerSort, Maxflow, barneshut, reference_run
 from repro.apps.base import run_on
 from repro.apps.intsort import bucket_stable_ranks
+from repro.workloads.bodies import BodySet, uniform_disc
 from repro.workloads.graphs import reference_max_flow
 from repro.workloads.matrices import random_spd
 
@@ -110,6 +111,83 @@ class TestBarnesHut:
         app.px.poke(0, 1e9)
         with pytest.raises(AssertionError):
             app.verify()
+
+    @pytest.mark.parametrize("array", ["px", "vx"])
+    def test_memoised_reference_still_catches_corruption(self, monkeypatch, array):
+        monkeypatch.setattr(barneshut, "_REFERENCE_MEMO", {})
+        calls = []
+        real = barneshut.force_reference
+        monkeypatch.setattr(
+            barneshut, "force_reference", lambda *a: calls.append(1) or real(*a)
+        )
+        run_on(BarnesHut(n_bodies=8, steps=2), "RCinv", CFG)
+        computed = len(calls)
+        app = BarnesHut(n_bodies=8, steps=2)
+        run_on(app, "RCupd", CFG)
+        assert computed > 0 and len(calls) == computed  # second verify hit the memo
+        getattr(app, array).poke(3, getattr(app, array).peek(3) + 1e-3)
+        with pytest.raises(AssertionError):
+            app.verify()
+        assert len(calls) == computed
+
+    def test_reference_memo_keys_every_input(self, monkeypatch):
+        bodies = uniform_disc(24, seed=3)
+        base = dict(bodies=bodies, steps=3, dt=0.02, theta=0.5, eps=0.05)
+        heavier = BodySet(bodies.pos, bodies.vel, bodies.mass.copy())
+        heavier.mass[0] *= 2.0
+        changes = [
+            {"bodies": heavier},
+            {"steps": 4},
+            {"dt": 0.03},
+            {"theta": 1.0},
+            {"eps": 0.1},
+        ]
+        for change in changes:
+            monkeypatch.setattr(barneshut, "_REFERENCE_MEMO", {})
+            want_base = reference_run(**base)
+            got = reference_run(**{**base, **change})
+            assert len(barneshut._REFERENCE_MEMO) == 2
+            assert not np.array_equal(got[0], want_base[0]), change
+            monkeypatch.setattr(barneshut, "_REFERENCE_MEMO", {})
+            fresh = reference_run(**{**base, **change})
+            np.testing.assert_array_equal(got[0], fresh[0])
+            np.testing.assert_array_equal(got[1], fresh[1])
+
+    def test_reference_is_read_only(self, monkeypatch):
+        monkeypatch.setattr(barneshut, "_REFERENCE_MEMO", {})
+        pos, vel = reference_run(uniform_disc(8), 1, 0.02, 0.5, 0.05)
+        for arr in (pos, vel):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    def test_reference_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(barneshut, "_REFERENCE_MEMO", {})
+        bound = barneshut._REFERENCE_MEMO_MAX
+        bodies = uniform_disc(4)
+        dts = [0.01 * (k + 1) for k in range(bound + 3)]
+        for dt in dts:
+            reference_run(bodies, 1, dt, 0.5, 0.05)
+            assert len(barneshut._REFERENCE_MEMO) <= bound
+        kept = {key[1] for key in barneshut._REFERENCE_MEMO}  # key = (steps, dt, ...)
+        assert kept == set(dts[-bound:])
+
+    def test_force_memo_serves_a_second_system_at_20_steps(self, monkeypatch):
+        calls = []
+        real = barneshut.force_and_cost
+        monkeypatch.setattr(
+            barneshut, "force_and_cost", lambda *a: calls.append(1) or real(*a)
+        )
+        monkeypatch.setattr(barneshut, "_FORCE_MEMO", {})
+        results, computed = {}, {}
+        for system in ("RCinv", "RCupd"):
+            before = len(calls)
+            results[system] = run_on(BarnesHut(n_bodies=32, steps=20), system, CFG)
+            computed[system] = len(calls) - before
+        assert computed == {"RCinv": 32 * 20, "RCupd": 0}
+        for system, shared in results.items():
+            monkeypatch.setattr(barneshut, "_FORCE_MEMO", {})
+            assert run_on(BarnesHut(n_bodies=32, steps=20), system, CFG) == shared
 
 
 class TestMaxflow:
