@@ -12,10 +12,10 @@ other.  This module exploits that structure:
   z-machine counters) is itself picklable, so nothing heavyweight — in
   particular no :class:`~repro.runtime.context.Machine` — crosses the
   pool boundary;
-* :func:`run_jobs` — fans specs out over a ``ProcessPoolExecutor`` with
-  deterministic result ordering, graceful fallback to in-process
-  execution when ``jobs == 1`` or a spec cannot be pickled, and an
-  optional on-disk :class:`ResultCache`;
+* :func:`run_jobs` — fans specs out over the process's one shared
+  ``ProcessPoolExecutor`` with deterministic result ordering, fallback
+  to in-process execution when ``jobs == 1`` or a spec cannot be
+  pickled, and an optional on-disk :class:`ResultCache`;
 * :class:`ResultCache` — keyed by a stable hash of (job spec, code
   fingerprint), so repeated studies and sweeps are near-free while any
   change to the simulator's source invalidates every entry.
@@ -28,21 +28,26 @@ rules, and ``repro.core.bench`` for the measured speedups.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import pickle
+import sys
 import tempfile
 import time
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing import util
 from pathlib import Path
+from types import FunctionType
 
 from ..apps.base import Application, run_machine
-from ..apps.factory import AppFactory
+from ..apps.factory import APP_REGISTRY, AppFactory
 from ..config import MachineConfig
+from ..mem.systems import SYSTEM_REGISTRY
 from ..mem.systems.zmachine import ZMachine
 from ..obs import telemetry
 from ..obs.log import configure as _configure_logger, get_logger
@@ -301,34 +306,74 @@ class ResultCache:
 
 
 def resolve_jobs(jobs: int | None) -> int:
-    """Normalise a worker count: ``None``/``0`` means one per CPU."""
+    """Normalise a worker count: ``None``/``0`` means one per CPU this process may use."""
     if jobs is None or jobs == 0:
-        return os.cpu_count() or 1
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+        return len(cpus) or os.cpu_count() or 1
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")
     return jobs
 
 
-def _poolable(specs: Sequence[JobSpec]) -> bool:
-    """Whether every spec survives a round-trip to a worker process."""
+def _poolable(calls: Iterable) -> bool:
+    """Whether every call survives a round-trip to a worker process."""
     try:
-        pickle.dumps(list(specs), protocol=4)
+        pickle.dumps(list(calls), protocol=4)
         return True
     except Exception:
         return False
 
 
-#: Worker-process telemetry queue, installed by :func:`_pool_init`.
+class JobCrashed(BrokenProcessPool):
+    """A pooled call killed its worker even when it ran alone in a fresh pool."""
+
+
+class _NoPool(OSError):
+    """No worker pool could be started: the calls run in-process."""
+
+
+_POOL: tuple[tuple, int, ProcessPoolExecutor] | None = None  #: (key, size, executor) of _pool
+os.register_at_fork(after_in_child=lambda: globals().update(_POOL=None))  # a fork owns no pool
+
+
+def _pool(nworkers: int, ncalls: int) -> ProcessPoolExecutor:
+    """The shared pool, made by the first pooled batch and grown (up to ``nworkers``) for a
+    larger one.  Its forked workers know the parent as it was then, so it is replaced when
+    the worker count, an app or system registry or ``__main__``'s functions and classes change."""
+    global _POOL
+    ns = vars(sys.modules["__main__"]).items()
+    own = [m for m in ns if isinstance(m[1], type | FunctionType) and m[1].__module__ == "__main__"]
+    key = (nworkers, *APP_REGISTRY.items(), *SYSTEM_REGISTRY.items(), *own)
+    size = min(nworkers, ncalls)
+    if _POOL is not None and (_POOL[0] != key or _POOL[1] < size):
+        _POOL[2].shutdown(wait=True, cancel_futures=True)
+        _POOL = None
+    if _POOL is None:
+        try:
+            pool = ProcessPoolExecutor(max_workers=size)
+            pool.submit(int).result()  # start the workers now: an OSError here means no pool
+        except OSError as err:
+            raise _NoPool(*err.args) from err
+        # A multiprocessing child joins its children when it exits: shut the workers down
+        # first, ahead of the finalizers (priority 10) that close the queues to them.
+        util.Finalize(None, pool.shutdown, exitpriority=100)
+        _POOL = (key, size, pool)
+    return _POOL[2]
+
+
+#: The task context last applied in this worker process, and its queue.
+_WORKER_CONTEXT = b""
 _WORKER_QUEUE = None
 
 
-def _pool_init(logger_state: dict, queue) -> None:
-    """Pool-worker initializer: mirror the parent's logger configuration
-    (so ``--verbose/--quiet/--json`` hold in children too) and install
-    the telemetry queue heartbeats are sent over."""
-    global _WORKER_QUEUE
-    _configure_logger(**logger_state)
-    _WORKER_QUEUE = queue
+def _in_worker(context: bytes, fn: Callable, *args):
+    """Pool task: reapply the parent's logger state and telemetry queue if changed, call ``fn``."""
+    global _WORKER_CONTEXT, _WORKER_QUEUE
+    if context != _WORKER_CONTEXT:
+        logger_state, _WORKER_QUEUE = pickle.loads(context)
+        _configure_logger(**logger_state)
+        _WORKER_CONTEXT = context
+    return fn(*args)
 
 
 def _spec_label(spec) -> tuple[str, str]:
@@ -364,23 +409,58 @@ def _emit_finish(sink, index: int, spec, job) -> None:
         )
 
 
-class _SessionSink:
-    """Adapter giving the in-process path the queue ``put`` interface."""
-
-    def __init__(self, session):
-        self._session = session
-
-    def put(self, record) -> None:
-        self._session.emit(record)
-
-
-def _pool_run(item):
-    """Worker-side wrapper: heartbeats around one executor call."""
-    executor, index, spec = item
-    _emit_start(_WORKER_QUEUE, index, spec)
+def _run_one(executor: Callable, index: int, spec):
+    """One job, with heartbeats to the telemetry session (its queue, in a worker)."""
+    sink = _WORKER_QUEUE if _WORKER_CONTEXT else telemetry.get_session()
+    _emit_start(sink, index, spec)
     job = executor(spec)
-    _emit_finish(_WORKER_QUEUE, index, spec, job)
+    _emit_finish(sink, index, spec, job)
     return job
+
+
+def _fan_out(calls: dict, nworkers: int, land: Callable, queue) -> list[int]:
+    """Run ``calls[i] = (fn, *args)`` on the shared pool, ``land``-ing each value as it
+    finishes.  Returns the indices a broken pool lost; an exception cancels unstarted calls."""
+    global _POOL
+    context = pickle.dumps((get_logger().state(), queue), protocol=4)
+    pool, futures, lost = _pool(nworkers, len(calls)), {}, set(calls)
+    try:
+        with contextlib.suppress(BrokenProcessPool):  # calls not yet submitted are lost
+            for i, call in calls.items():
+                futures[pool.submit(_in_worker, context, *call)] = i
+        for fut in as_completed(futures):
+            if not isinstance(fut.exception(), BrokenProcessPool):
+                land(futures[fut], fut.result())
+                lost.remove(futures[fut])
+    except BaseException:
+        for fut in futures:
+            fut.cancel()
+        raise
+    if lost:  # broken: let its threads finish, since a thread that holds a lock across a
+        pool.shutdown(wait=True)  # fork leaves that lock held in the fresh pool's workers
+        _POOL = None
+    return sorted(lost)
+
+
+def _run_calls(calls: dict, nworkers: int, land: Callable, label: Callable, queue=None) -> None:
+    """``land(i, fn(*args))`` for each ``calls[i] = (fn, *args)``, pooled if two or more calls
+    and workers and all pickle.  Calls a broken pool lost rerun together in a fresh one, then
+    each alone; one that breaks its own pool is never run in the parent: :class:`JobCrashed`."""
+    lost = list(calls)
+    if nworkers > 1 and len(calls) > 1 and _poolable(calls.values()):
+        try:
+            lost = _fan_out(calls, nworkers, land, queue)
+            lost = lost and _fan_out({i: calls[i] for i in lost}, nworkers, land, queue)
+        except _NoPool:
+            pass
+        else:
+            dead = [i for i in lost if _fan_out({i: calls[i]}, nworkers, land, queue)]
+            if dead:
+                raise JobCrashed(f"worker process died running {', '.join(map(label, dead))} alone")
+            return
+    for i in lost:
+        fn, *args = calls[i]
+        land(i, fn(*args))
 
 
 def run_jobs(
@@ -391,11 +471,11 @@ def run_jobs(
 ) -> list[JobResult]:
     """Execute ``specs`` and return their results *in spec order*.
 
-    ``jobs > 1`` fans the cache misses out over a process pool of that
-    many workers (``None``/``0`` = one per CPU).  Execution falls back
-    to the in-process path when ``jobs == 1``, when a spec cannot be
-    pickled, or when the pool itself fails — results are identical
-    either way (simulations are deterministic), only wall-clock differs.
+    ``jobs > 1`` fans the cache misses out over the process's shared pool
+    of that many workers (``None``/``0`` = one per CPU), caching each as it
+    lands.  Execution falls back to the in-process path when ``jobs == 1``,
+    when a spec cannot be pickled, or when no pool can be created — results
+    are identical either way (simulations are deterministic), only wall-clock differs.
 
     ``executor`` maps one spec to one result and defaults to
     :func:`execute_job`; any module-level callable over specs that have
@@ -409,46 +489,27 @@ def run_jobs(
     misses0 = cache.misses if cache is not None else 0
     if tele is not None:
         tele.attach_total(len(specs))
-    local_sink = _SessionSink(tele) if tele is not None else None
     results: list[JobResult | None] = [None] * len(specs)
-    pending: list[tuple[int, JobSpec]] = []
+    calls: dict = {}
     for i, spec in enumerate(specs):
         hit = cache.get(spec) if cache is not None else None
         if hit is not None:
             results[i] = hit
-            _emit_finish(local_sink, i, spec, hit)
+            _emit_finish(tele, i, spec, hit)
         else:
-            pending.append((i, spec))
+            calls[i] = (_run_one, executor, i, spec)
+
+    def land(i: int, job: JobResult) -> None:
+        results[i] = job
+        if cache is not None:
+            cache.put(specs[i], job)
 
     nworkers = resolve_jobs(jobs)
-    if pending:
-        fresh: list[JobResult] | None = None
-        if nworkers > 1 and len(pending) > 1 and _poolable([s for _, s in pending]):
-            try:
-                queue = tele.remote_queue() if tele is not None else None
-                with ProcessPoolExecutor(
-                    max_workers=min(nworkers, len(pending)),
-                    initializer=_pool_init,
-                    initargs=(get_logger().state(), queue),
-                ) as pool:
-                    fresh = list(
-                        pool.map(_pool_run, [(executor, i, s) for i, s in pending])
-                    )
-                if tele is not None:
-                    tele.drain_pending()
-            except (BrokenProcessPool, OSError, pickle.PicklingError):
-                fresh = None
-        if fresh is None:
-            fresh = []
-            for i, spec in pending:
-                _emit_start(local_sink, i, spec)
-                job = executor(spec)
-                _emit_finish(local_sink, i, spec, job)
-                fresh.append(job)
-        for (i, spec), job in zip(pending, fresh):
-            results[i] = job
-            if cache is not None:
-                cache.put(spec, job)
+    if calls:
+        queue = None if tele is None or nworkers < 2 or len(calls) < 2 else tele.remote_queue()
+        _run_calls(calls, nworkers, land, lambda i: "/".join(_spec_label(specs[i])), queue)
+        if tele is not None:
+            tele.drain_pending()
     if cache is not None:
         cache.persist_stats(cache.hits - hits0, cache.misses - misses0)
     return [r for r in results if r is not None]
@@ -459,26 +520,22 @@ def parallel_map(
     items: Iterable,
     jobs: int | None = 1,
 ) -> list:
-    """Order-preserving ``map(fn, items)`` over a process pool.
+    """Order-preserving ``map(fn, items)`` over the shared process pool.
 
     ``fn`` must be a module-level callable for ``jobs > 1``; falls back
-    to a plain in-process map when the pool is unavailable or anything
+    to a plain in-process map when no pool can be created or anything
     fails to pickle.
     """
     items = list(items)
-    nworkers = resolve_jobs(jobs)
-    if nworkers > 1 and len(items) > 1:
-        try:
-            pickle.dumps((fn, items), protocol=4)
-            with ProcessPoolExecutor(max_workers=min(nworkers, len(items))) as pool:
-                return list(pool.map(fn, items))
-        except (BrokenProcessPool, OSError, pickle.PicklingError):
-            pass
-    return [fn(item) for item in items]
+    out = [None] * len(items)
+    calls = {i: (fn, item) for i, item in enumerate(items)}
+    _run_calls(calls, resolve_jobs(jobs), out.__setitem__, lambda i: repr(items[i]))
+    return out
 
 
 __all__ = [
     "CACHE_DIR_ENV",
+    "JobCrashed",
     "JobResult",
     "JobSpec",
     "ResultCache",

@@ -133,6 +133,8 @@ class TelemetrySession:
         if line:
             get_logger().info(line)
 
+    put = emit  # the worker queue's interface, so in-process jobs report alike
+
     def _eta(self) -> float | None:
         """Completion-based ETA in seconds (None until estimable)."""
         if not self.total or not self._finished:
