@@ -9,10 +9,10 @@ fig1     print the Figure 1 inherent-cost-vs-overhead scenario
 claims   evaluate the paper's qualitative claims on fresh runs
 trace    run one application with the tracer attached and export a
          Perfetto/Chrome trace (and optionally interval metrics)
-profile  run one application under the host self-profiler and print the
-         per-component wall-time attribution (wheel / app / mem /
-         network / tracer / sync / observer / dispatch), optionally as
-         a Perfetto flame view
+profile  run one application under the host self-profiler (a SIGPROF
+         stack sampler) and print the per-component wall-time
+         attribution (wheel / app / mem / network / tracer / sync /
+         observer / dispatch), optionally as a Perfetto flame view
 attribute run one application under exact overhead attribution and
          print ranked stall-cycle tables by shared region / sync object /
          phase / home node (``--vs`` adds an inline overhead-delta diff
@@ -21,9 +21,7 @@ diff     decompose the overhead delta between two saved attribution
          reports (from ``repro attribute --out``)
 bench    time serial vs parallel vs cached execution of the full study
          set and write a BENCH_parallel.json perf baseline (with
-         ``--trace``: measure observability overhead → BENCH_trace.json;
-         with ``--profile``: measure self-profiler overhead →
-         BENCH_profile.json)
+         ``--trace``: measure observability overhead → BENCH_trace.json)
 perf     bench-history ledger: ``perf record`` appends BENCH_*.json
          snapshots into benchmarks/history.jsonl keyed by commit and
          host; ``perf report`` prints deltas and trends against the
@@ -80,18 +78,15 @@ from .core.bench import (
     ATTRIB_BENCH_FILE,
     BENCH_FILE,
     ENGINE_BENCH_FILE,
-    PROFILE_BENCH_FILE,
     TRACE_BENCH_FILE,
     check_engine_regression,
     format_attrib_bench,
     format_bench,
     format_engine_bench,
-    format_profile_bench,
     format_trace_bench,
     run_attrib_bench,
     run_bench,
     run_engine_bench,
-    run_profile_bench,
     run_trace_bench,
 )
 from .core.parallel import ResultCache, parallel_map
@@ -333,10 +328,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     app = factory()
     machine = Machine(cfg, args.system)
     app.setup(machine)
-    # Attach last so any tracer/metrics decorators are already in place
-    # and their overhead lands in the ``tracer`` component.
-    prof = HostProfiler.attach(machine)
-    result = machine.run(app.worker)
+    with HostProfiler() as prof:
+        result = machine.run(app.worker)
+    prof.ops = result.ops
     log.info(
         f"{name} on {args.system}: {result.ops} ops, "
         f"{result.total_time:.0f} simulated cycles"
@@ -453,12 +447,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         out = args.out if args.out != BENCH_FILE else TRACE_BENCH_FILE
         doc = run_trace_bench(scale=args.scale, out=out)
         log.out(format_trace_bench(doc))
-        log.out(f"trajectory written to {out}")
-        return 0
-    if args.profile:
-        out = args.out if args.out != BENCH_FILE else PROFILE_BENCH_FILE
-        doc = run_profile_bench(scale=args.scale, nprocs=args.nprocs, out=out)
-        log.out(format_profile_bench(doc))
         log.out(f"trajectory written to {out}")
         return 0
     if args.attrib:
@@ -751,6 +739,13 @@ def _jobs_count(text: str) -> int:
     return value
 
 
+def _nprocs_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"nprocs must be >= 1, got {value}")
+    return value
+
+
 def _add_parallel_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--jobs",
@@ -787,7 +782,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="z-machine overhead benchmarking of shared-memory systems "
         "(ICPP 1995 reproduction)",
     )
-    parser.add_argument("--nprocs", type=int, default=16, help="processor count (default 16)")
+    parser.add_argument(
+        "--nprocs", type=_nprocs_count, default=16, help="processor count (default 16)"
+    )
     parser.add_argument(
         "--verbose", action="store_true", help="show debug diagnostics on stderr"
     )
@@ -968,12 +965,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="measure raw engine throughput (simulated events/sec) instead "
         f"(writes {ENGINE_BENCH_FILE})",
-    )
-    p_bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="measure self-profiler overhead instead: interleaved plain vs "
-        f"profiled study matrix (writes {PROFILE_BENCH_FILE})",
     )
     p_bench.add_argument(
         "--attrib",

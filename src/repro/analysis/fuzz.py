@@ -14,8 +14,9 @@ decorator stack) and cross-checks each draw with three oracle families:
     bit-identical :class:`SimResult`, traffic, network counters, and
     final shared-memory image.
 ``decorators``
-    the drawn observability stack (tracer / metrics / profiler /
-    attribution / checked invariants, attached in the drawn order) vs
+    the drawn observability stack (tracer / metrics / attribution /
+    checked invariants, attached in the drawn order, and the run under
+    the host profiler's stack sampler when ``profiler`` is drawn) vs
     the bare run — unchanged simulated results.
 ``checkers``
     race detector + invariant auditor + static analyzer agreement —
@@ -44,6 +45,7 @@ See docs/correctness.md ("Fuzzing") for the handbook.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import time
@@ -63,6 +65,9 @@ from ..sim.reference import capture_outcome, run_case
 ORACLES = ("reference", "decorators", "checkers")
 
 #: Observability decorators a draw may stack (attach order = draw order).
+#: ``profiler`` runs the draw under :class:`repro.obs.profile.HostProfiler`
+#: instead of wrapping the memory system; it stays in the tuple because
+#: ``rng.sample`` over it keys every recorded draw.
 DECORATORS = ("checked", "tracer", "metrics", "attrib", "profiler")
 
 #: Memory systems in the draw space (kept in lockstep with the golden set).
@@ -379,10 +384,6 @@ def _attach_decorator(name: str, machine) -> None:
         from ..obs.attrib import AttributionCollector
 
         AttributionCollector.attach(machine)
-    elif name == "profiler":
-        from ..obs.profile import HostProfiler
-
-        HostProfiler.attach(machine)
     else:
         raise ValueError(f"unknown decorator {name!r}; expected one of {DECORATORS}")
 
@@ -394,9 +395,17 @@ def run_decorated(draw: FuzzDraw) -> dict:
     app = draw.factory()()
     machine = Machine(draw.config(), draw.system)
     app.setup(machine)
+    # "profiler" is no decorator: the run happens under the host sampler.
+    sampler = contextlib.nullcontext()
     for name in draw.decorators:
-        _attach_decorator(name, machine)
-    result = machine.run(app.worker)
+        if name == "profiler":
+            from ..obs.profile import HostProfiler
+
+            sampler = HostProfiler()
+        else:
+            _attach_decorator(name, machine)
+    with sampler:
+        result = machine.run(app.worker)
     if draw.verify:
         app.verify()
     return capture_outcome(machine, result)

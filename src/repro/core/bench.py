@@ -43,9 +43,6 @@ TRACE_BENCH_FILE = "BENCH_trace.json"
 #: Name of the raw engine-throughput trajectory file.
 ENGINE_BENCH_FILE = "BENCH_engine.json"
 
-#: Name of the self-profiler overhead trajectory file.
-PROFILE_BENCH_FILE = "BENCH_profile.json"
-
 #: Name of the overhead-attribution overhead trajectory file.
 ATTRIB_BENCH_FILE = "BENCH_attrib.json"
 
@@ -324,105 +321,6 @@ def format_trace_bench(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def run_profile_bench(
-    scale: str = "default",
-    nprocs: int = 16,
-    reps: int = 5,
-    systems: tuple[str, ...] = PAPER_SYSTEMS,
-    out: str | os.PathLike | None = PROFILE_BENCH_FILE,
-) -> dict:
-    """Measure self-profiler overhead and record the attribution.
-
-    Runs the engine-bench workload (every preset app x every paper
-    system, in-process) with and without :class:`HostProfiler`
-    attached, **alternating the two modes per matrix cell** so host
-    noise hits both equally, then takes the *median* of the per-rep
-    ratios (a best-rep-per-mode ratio lets one mode cherry-pick its
-    luckiest rep; the median of paired ratios is stable).  Asserts that
-    the profiled runs produce identical simulated results (the profiler
-    is timing-transparent by design; bit-identity is pinned harder by
-    tests/test_profile.py), and embeds the aggregated per-component
-    attribution — the measured answer to "where does host time go?".
-    """
-    from ..obs.profile import COMPONENTS, HostProfiler
-
-    cfg = MachineConfig(nprocs=nprocs)
-    apps = preset(scale)
-    walls = {"plain": float("inf"), "profiled": float("inf")}
-    attribution = dict.fromkeys(COMPONENTS, 0)
-    wall_ns = 0
-    events = 0
-    identical = True
-    ratios = []
-    for rep in range(max(1, reps)):
-        rep_walls = {"plain": 0.0, "profiled": 0.0}
-        outcomes: dict[str, list] = {"plain": [], "profiled": []}
-        total_ops = 0
-        for factory, _ in apps.values():
-            for system in systems:
-                for mode in ("plain", "profiled"):
-                    app = factory()
-                    machine = Machine(cfg, system)
-                    app.setup(machine)
-                    prof = HostProfiler.attach(machine) if mode == "profiled" else None
-                    t0 = time.perf_counter()
-                    result = machine.run(app.worker)
-                    rep_walls[mode] += time.perf_counter() - t0
-                    if mode == "plain":
-                        total_ops += result.ops
-                    outcomes[mode].append((result.total_time, result.ops))
-                    if prof is not None and rep == 0:
-                        for name in COMPONENTS:
-                            attribution[name] += prof.ns[name]
-                        wall_ns += prof.wall_ns
-        events = total_ops
-        identical = identical and outcomes["plain"] == outcomes["profiled"]
-        if rep_walls["plain"] > 0:
-            ratios.append(rep_walls["profiled"] / rep_walls["plain"])
-        for mode in walls:
-            walls[mode] = min(walls[mode], rep_walls[mode])
-    assert identical, "profiler changed simulated results"
-    ratio = sorted(ratios)[len(ratios) // 2] if ratios else float("inf")
-    doc = {
-        "bench": "profiler-overhead",
-        "scale": scale,
-        "nprocs": nprocs,
-        "systems": list(systems),
-        "reps": max(1, reps),
-        "events": events,
-        "plain_wall_s": round(walls["plain"], 4),
-        "profiled_wall_s": round(walls["profiled"], 4),
-        "overhead_ratio": round(ratio, 3),
-        "rep_ratios": [round(r, 3) for r in ratios],
-        "results_identical": identical,
-        "attribution": {
-            name: {
-                "ns": attribution[name],
-                "pct": round(100.0 * attribution[name] / wall_ns, 2) if wall_ns else 0.0,
-            }
-            for name in COMPONENTS
-        },
-        "cpu_count": os.cpu_count(),
-    }
-    if out is not None:
-        Path(out).write_text(json.dumps(doc, indent=2) + "\n")
-    return doc
-
-
-def format_profile_bench(doc: dict) -> str:
-    """Human-readable summary of a profiler-overhead trajectory."""
-    lines = [
-        f"profiler overhead: {doc['events']:,} events ({doc['scale']} scale, "
-        f"P={doc['nprocs']}, {len(doc['systems'])} systems), median of {doc['reps']}",
-        f"  plain {doc['plain_wall_s']:.3f}s, profiled {doc['profiled_wall_s']:.3f}s "
-        f"-> {doc['overhead_ratio']:.2f}x",
-        f"{'component':>10s} {'share':>7s}",
-    ]
-    for name, comp in doc["attribution"].items():
-        lines.append(f"{name:>10s} {comp['pct']:>6.1f}%")
-    return "\n".join(lines)
-
-
 def run_attrib_bench(
     scale: str = "default",
     nprocs: int = 16,
@@ -432,9 +330,9 @@ def run_attrib_bench(
 ) -> dict:
     """Measure :class:`AttributionCollector` overhead (interleaved A/B).
 
-    Same protocol as :func:`run_profile_bench`: every preset app x every
-    paper system, alternating plain and attributed runs per matrix cell
-    so host noise hits both modes equally, median of the per-rep ratios.
+    Every preset app x every paper system, alternating plain and
+    attributed runs per matrix cell so host noise hits both modes
+    equally, median of the per-rep ratios.
     Asserts the attributed runs produce identical simulated results
     *and* that attribution was exact (per-category attributed cycles
     equal the ``SimResult`` totals) on every cell of the first rep —
@@ -540,18 +438,15 @@ __all__ = [
     "ATTRIB_BENCH_FILE",
     "BENCH_FILE",
     "ENGINE_BENCH_FILE",
-    "PROFILE_BENCH_FILE",
     "TRACE_BENCH_FILE",
     "bench_specs",
     "check_engine_regression",
     "format_attrib_bench",
     "format_bench",
     "format_engine_bench",
-    "format_profile_bench",
     "format_trace_bench",
     "run_attrib_bench",
     "run_bench",
     "run_engine_bench",
-    "run_profile_bench",
     "run_trace_bench",
 ]

@@ -144,12 +144,6 @@ class Engine:
         #: exact per-category cycle accounting so interval metrics can
         #: reproduce :class:`SimResult` totals to the last cycle.
         self.observer = None
-        #: Optional :class:`repro.obs.profile.HostProfiler`.  When None
-        #: (the default) the cost is one attribute check per *run*, not
-        #: per op — the hot loop below is untouched and results are
-        #: bit-identical.  When set, :meth:`run` delegates to the
-        #: profiled twin loop in :mod:`repro.obs.profile`.
-        self.profiler = None
         #: CPU-side degradation (per-node slowdown factors and the burst
         #: schedule) from ``config.degradation``.  None — the common case
         #: — keeps the Compute branch on a single pointer check; the
@@ -244,14 +238,14 @@ class Engine:
         operations can wake another thread (the only way the earliest
         pending time can move down mid-segment), so ``hz`` is refreshed
         from ``self._horizon`` after those and nowhere else.
-        """
-        if self.profiler is not None:
-            # Host self-profiling: same schedule, same float-operation
-            # order, perf marks at component boundaries.  Imported
-            # lazily so the simulator core never depends on obs.
-            from ..obs.profile import run_profiled
 
-            return run_profiled(self, self.profiler)
+        The host self-profiler (:mod:`repro.obs.profile`) samples this
+        frame from a signal handler and reads its components off the
+        lines of this function, tagged from its AST: the ``if t > hz:``
+        block, the bodies of the five sync-op branches and the
+        ``obs.on_*`` calls.  tests/test_profile.py fails when a refactor
+        moves those shapes.
+        """
         threads = self._threads
         # Hot-loop thread lookup is a list index (tids are dense 0..P-1).
         tlist: list[_Thread | None] = [None] * self.config.nprocs

@@ -95,8 +95,7 @@ class ReferenceEngine:
     the runtime touches (``spawn``/``spawn_all``/``wake``/``run``,
     ``memsys``/``observer``), so :func:`use_reference_engine` can swap it
     into a built :class:`repro.runtime.context.Machine` before apps are
-    spawned.  Host self-profiling is a production-engine feature; setting
-    ``profiler`` here raises at :meth:`run`.
+    spawned.
     """
 
     def __init__(self, config, memsys, syncmgr, max_ops: int | None = None):
@@ -105,7 +104,6 @@ class ReferenceEngine:
         self.syncmgr = syncmgr
         self.max_ops = max_ops
         self.observer = None
-        self.profiler = None
         deg = config.degradation
         self._degrade = deg if deg is not None and deg.affects_cpu else None
         self._threads: dict[int, _Thread] = {}
@@ -166,11 +164,6 @@ class ReferenceEngine:
     # ------------------------------------------------------------------
     def run(self) -> SimResult:
         """Run all threads to completion and return the statistics."""
-        if self.profiler is not None:
-            raise RuntimeError(
-                "the reference engine does not support host self-profiling; "
-                "attach the profiler to the production engine instead"
-            )
         heap = self._heap
         threads = self._threads
         while heap:

@@ -104,3 +104,20 @@ class TestCLI:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize("nprocs", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", "intsort", "RCinv"],
+            ["study", "--app", "IS"],
+            ["trace", "intsort", "RCinv"],
+            ["attribute", "intsort", "RCinv"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_nprocs_below_one_is_a_usage_error(self, argv, nprocs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--nprocs", nprocs, *argv])
+        assert exc.value.code == 2
+        assert f"nprocs must be >= 1, got {nprocs}" in capsys.readouterr().err
